@@ -6,6 +6,8 @@
 * :mod:`repro.core.identification` — the full three-stage protocol.
 * :mod:`repro.core.bp_decoder` — bit-flipping belief propagation (Alg. 1).
 * :mod:`repro.core.rateless` — the distributed rateless collision code.
+* :mod:`repro.core.silencing`, :mod:`repro.core.mobile` — the ACK-silencing
+  and mobile entry points of the same data-phase slot loop.
 * :mod:`repro.core.buzz` — end-to-end system.
 """
 
@@ -21,7 +23,7 @@ from repro.core.rateless import (
     RatelessRunResult,
     run_rateless_uplink,
 )
-from repro.core.silencing import SilencedRunResult, run_rateless_with_silencing
+from repro.core.silencing import run_rateless_with_silencing
 
 __all__ = [
     "BitFlipDecoder",
@@ -35,7 +37,6 @@ __all__ = [
     "KEstimateResult",
     "RatelessDecoder",
     "RatelessRunResult",
-    "SilencedRunResult",
     "candidate_ids",
     "estimate_k",
     "identify",

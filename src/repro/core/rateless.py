@@ -12,14 +12,17 @@ above 1 when channels are good (fewer slots than senders), below 1 when
 they are bad.
 
 :class:`RatelessDecoder` is the reader half (consumes symbols, never looks
-at true messages); :func:`run_rateless_uplink` wires it to a live tag
-population through the PHY for end-to-end experiments.
+at true messages). One private slot loop wires it to a live tag population
+through the PHY; :func:`run_rateless_uplink` (fixed channels),
+:func:`repro.core.silencing.run_rateless_with_silencing` (the §8.2
+ACK-silencing reader policy) and :func:`repro.core.mobile.
+run_mobile_data_segment` (a drifting, churning field) are its entry points.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -32,6 +35,7 @@ from repro.core.decoder_state import DecoderState
 from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import SALT_DATA, BackscatterTag
+from repro.phy.channel import ChannelTrajectory
 
 __all__ = [
     "RatelessDecoder",
@@ -257,8 +261,8 @@ class RatelessDecoder:
         sym_buf[: self._n_rows] = self._sym_buf[: self._n_rows]
         self._sym_buf = sym_buf
 
-    #: Slots regenerated per batched D-row refill; drivers that batch their
-    #: own tag-side draws (the plain and silencing loops) reuse this size.
+    #: Slots regenerated per batched D-row refill; the data-phase slot loop
+    #: batches its own tag-side draws in blocks of the same size.
     ROW_BLOCK = 64
 
     def _regenerated_row(self, index: int) -> np.ndarray:
@@ -270,21 +274,10 @@ class RatelessDecoder:
         """
         offset = index - self._row_block_start
         if not 0 <= offset < self._row_block.shape[0]:
-            self.prime_row_cache(
-                index, self.expected_rows(range(index, index + self.ROW_BLOCK))
-            )
+            self._row_block_start = index
+            self._row_block = self.expected_rows(range(index, index + self.ROW_BLOCK))
             offset = 0
         return self._row_block[offset]
-
-    def prime_row_cache(self, start: int, rows: np.ndarray) -> None:
-        """Install a pre-regenerated block of D rows for ``start, start+1, …``.
-
-        Lets a driver that already computed (and verified) a block via
-        :meth:`expected_rows` hand it over instead of having
-        :meth:`add_slot` regenerate the same rows again.
-        """
-        self._row_block_start = int(start)
-        self._row_block = np.ascontiguousarray(rows, dtype=np.uint8)
 
     def try_decode(self) -> DecodeProgress:
         """Run the batched BP kernel over all positions at once.
@@ -598,26 +591,40 @@ class RatelessDecoder:
 
 @dataclass
 class RatelessRunResult:
-    """End-to-end outcome of one rateless uplink transfer.
+    """Outcome of one data phase: a whole transfer, or one mobile segment.
+
+    Every data-phase driver (:func:`run_rateless_uplink`,
+    :func:`~repro.core.silencing.run_rateless_with_silencing`,
+    :func:`~repro.core.mobile.run_mobile_data_segment`) returns this record.
 
     Attributes
     ----------
     decoded_mask:
-        Per-node CRC success at termination.
+        Per-tag CRC success at termination (full population order; tags
+        outside the reader's view are always ``False``).
     messages:
-        ``(K, P)`` decoded message estimates.
+        ``(K, P)`` decoded message estimates, mapped back from the view.
     slots_used:
         Collision slots collected (the paper's L).
     duration_s:
-        ``L · P`` symbols at the uplink rate plus the start command.
+        ``L · P`` symbols at the uplink rate, plus the start command, plus
+        any silencing ACKs.
     transmissions:
-        Per-node count of slots in which the node actually transmitted
+        Per-tag count of slots in which the tag actually transmitted
         (drives the energy model).
     progress:
         Decode trace — the Fig. 9 bars.
     bit_errors:
         Hamming distance between decoded and true messages (diagnostic;
         zero for every CRC-passed message unless the CRC false-positived).
+    ack_overhead_s:
+        Silencing-ACK share of ``duration_s`` (0 without silencing).
+    in_view:
+        Tags whose temporary id the reader's view covers — the columns the
+        decoder actually served.
+    stalled:
+        True when the stall monitor stopped the phase early — the adaptive
+        pipeline's re-identification trigger.
     """
 
     decoded_mask: np.ndarray
@@ -627,6 +634,14 @@ class RatelessRunResult:
     transmissions: np.ndarray
     progress: List[DecodeProgress]
     bit_errors: int
+    ack_overhead_s: float
+    in_view: np.ndarray
+    stalled: bool
+
+    @property
+    def verified(self) -> np.ndarray:
+        """Alias of :attr:`decoded_mask`: per-tag CRC success in a segment."""
+        return self.decoded_mask
 
     @property
     def n_decoded(self) -> int:
@@ -638,7 +653,8 @@ class RatelessRunResult:
         return int((~self.decoded_mask).sum())
 
     def bits_per_symbol(self) -> float:
-        """Realised aggregate rate K/L (Fig. 9/12's right axis)."""
+        """Realised aggregate rate K/L (Fig. 9/12's right axis; ACK time
+        reported apart)."""
         if self.slots_used == 0:
             return float("inf")
         return self.decoded_mask.size / self.slots_used
@@ -646,7 +662,7 @@ class RatelessRunResult:
 
 def _decoder_view(
     tag_seeds: List[int],
-    channels: np.ndarray,
+    channels: Optional[np.ndarray],
     channel_estimates: Optional[Sequence[complex]],
     decoder_seeds: Optional[Sequence[int]],
 ) -> tuple:
@@ -656,7 +672,7 @@ def _decoder_view(
     decoder index serving tag *i*, or −1 when the reader never recovered
     that tag's temporary id (its message is unreachable). With no explicit
     ``decoder_seeds`` the view is the oracle one — the tags themselves,
-    with ``channel_estimates`` (or the true channels) aligned per tag.
+    with ``channel_estimates`` (or the true ``channels``) aligned per tag.
     """
     if decoder_seeds is None:
         h_view = (
@@ -678,19 +694,208 @@ def _decoder_view(
     return view_seeds, h_view, mapping
 
 
-def _map_view_to_tags(
-    decoder: RatelessDecoder, mapping: np.ndarray, n_positions: int
-) -> tuple:
-    """Project the decoder's per-view state back onto the tag population."""
-    k = mapping.size
-    view_decoded = decoder.decoded_mask
-    view_messages = decoder.messages()
+def _fixed_field(
+    tags: Sequence[BackscatterTag],
+    k_hat: Optional[int],
+    channel_estimates: Optional[Sequence[complex]],
+    decoder_seeds: Optional[Sequence[int]],
+    config: BuzzConfig,
+    max_slots: Optional[int],
+) -> dict:
+    """Reader view, density and slot limit of a data phase on fixed channels.
+
+    Returns the :func:`_run_data_phase` keyword arguments that describe the
+    population and the reader's knowledge of it.
+    """
+    k = len(tags)
+    if k == 0:
+        raise ValueError("need at least one tag")
+    # The data-phase schedule (and hence the reader's D) is keyed by
+    # temporary ids — the same precondition as ``BackscatterTag.
+    # data_transmits``, whose coin the slot loop draws in blocks.
+    if any(t.temp_id is None for t in tags):
+        raise RuntimeError("tag has no temporary id yet")
+    tag_seeds = [t.temp_id for t in tags]
+    channels = np.array([t.channel for t in tags], dtype=complex)
+    view = _decoder_view(tag_seeds, channels, channel_estimates, decoder_seeds)
+    oracle_view = decoder_seeds is None
+    k_for_density = k_hat if k_hat is not None else len(view[0])
+    # The abort bound, like the density, comes from what the reader knows:
+    # the true K with the oracle view, the recovered count otherwise.
+    limit = (
+        max_slots
+        if max_slots is not None
+        else config.max_data_slots(k if oracle_view else k_for_density)
+    )
+    return dict(
+        tag_seeds=tag_seeds,
+        view=view,
+        oracle_view=oracle_view,
+        density=config.data_density(k_for_density),
+        limit=limit,
+    )
+
+
+def _run_data_phase(
+    tags: Sequence[BackscatterTag],
+    front_end: ReaderFrontEnd,
+    rng: np.random.Generator,
+    *,
+    tag_seeds: Sequence[int],
+    view: tuple,
+    oracle_view: bool,
+    density: float,
+    limit: int,
+    crc: Optional[CrcSpec],
+    config: BuzzConfig,
+    timing: LinkTiming,
+    trajectory: Optional[ChannelTrajectory] = None,
+    participants: Optional[np.ndarray] = None,
+    start_s: float = 0.0,
+    ack_s: Optional[float] = None,
+    stall_limit: Optional[int] = None,
+) -> RatelessRunResult:
+    """The data-phase slot loop every driver shares (paper §6).
+
+    Per block of :attr:`RatelessDecoder.ROW_BLOCK` slots it draws the tags'
+    transmit schedule, regenerates the reader's D rows from its view
+    ``(view_seeds, h_view, mapping)`` (with the oracle view, checking that
+    the two agree), and receives the block's symbols; after every
+    ``decode_every`` slots it runs the decoder. Two inputs vary:
+
+    * the **air** — the tags' fixed channels, or a ``trajectory`` evaluated
+      at each slot's airtime (from ``start_s``), on which only
+      ``participants`` still in the field reflect;
+    * the **reader policy** — ``ack_s`` turns on §8.2 ACK-silencing (each
+      newly verified message costs one ACK of ``ack_s``, the ACKed tags
+      fall silent and drop out of the reader's rows, and the reader decodes
+      after every slot), and ``stall_limit`` bounds the slots without a
+      newly verified message before the phase stops as ``stalled``.
+
+    Only with fixed channels and no silencing is a whole block's air known
+    up front, so only then is the block received in one
+    :meth:`~repro.nodes.reader.ReaderFrontEnd.observe_block` call; the
+    generator then stands at the block boundary when decoding finishes
+    mid-block. Everywhere else each slot is received on its own and the
+    generator stops exactly at the last slot — a stalled mobile segment is
+    followed by re-identification, which draws from the same generator.
+    """
+    k = len(tags)
+    messages = np.stack([t.message for t in tags])
+    n_positions = messages.shape[1]
+    view_seeds, h_view, mapping = view
+    matched = mapping >= 0
+    if len(view_seeds) == 0:
+        # The reader recovered nobody: it never opens a data phase (so its
+        # empty decoder draws nothing from ``rng``), every message is lost,
+        # and only the trigger command costs airtime.
+        limit, decoder_rng = 0, None
+    else:
+        decoder_rng = np.random.default_rng(rng.integers(0, 2**63))
+    decoder = RatelessDecoder(
+        seeds=view_seeds,
+        channels=h_view,
+        n_positions=n_positions,
+        density=density,
+        crc=crc,
+        config=config,
+        rng=decoder_rng,
+        noise_std=front_end.noise_std,
+    )
+
+    silencing = ack_s is not None
+    block_receive = trajectory is None and not silencing
+    decode_every = 1 if silencing else config.decode_every
+    # Fixed air; a trajectory replaces the channels at every slot.
+    channels = np.array([t.channel for t in tags], dtype=complex)
+    symbol_s = 1.0 / timing.uplink_rate_bps
+    slot_s = n_positions * symbol_s
+    transmissions = np.zeros(k, dtype=int)
+    # Tags that heard their own temporary id ACKed, and the view columns
+    # the reader ACKed — reader-side knowledge, not signalling.
+    silenced = np.zeros(k, dtype=bool)
+    acked = np.zeros(len(view_seeds), dtype=bool)
+    ack_overhead = 0.0
+    slots_since_progress = 0
+    stalled = False
+    for slot in range(limit):
+        offset = slot % RatelessDecoder.ROW_BLOCK
+        if offset == 0:
+            block = range(slot, min(slot + RatelessDecoder.ROW_BLOCK, limit))
+            # Each tag's coin for the block in one vectorized pass — the
+            # same pure function of ``(temp_id, slot)`` the tags evaluate.
+            tag_rows = slot_decision_matrix(tag_seeds, block, density, salt=SALT_DATA)
+            reader_rows = decoder.expected_rows(block)
+            if oracle_view and not np.array_equal(tag_rows, reader_rows):
+                # Tag-side and reader-side views of D must agree bit for
+                # bit — an explicit check (unlike an ``assert``, it survives
+                # ``python -O``). A non-oracle view may disagree by design.
+                raise RuntimeError(
+                    "D regeneration diverged: reader-side seeds or density "
+                    "do not reproduce the tags' transmit schedule"
+                )
+            if block_receive:
+                block_symbols = front_end.observe_block(tag_rows, messages, channels, rng)
+        if block_receive:
+            row = tag_rows[offset]
+            symbols = block_symbols[offset]
+        else:
+            on_air = ~silenced
+            if trajectory is not None:
+                # Airtime so far, measured at this slot's start.
+                now = start_s + slot * slot_s + ack_overhead
+                on_air &= participants & trajectory.active_at(now)
+                channels = trajectory.channels_at(now)
+            row = tag_rows[offset] * on_air.astype(np.uint8)
+            symbols = front_end.observe((messages * row[:, None]).T, channels, rng)
+        transmissions += row
+        decoder.add_slot(symbols, slot, row=reader_rows[offset] * (~acked).astype(np.uint8))
+        if (slot + 1) % decode_every:
+            continue
+        progress = decoder.try_decode()
+        if progress.newly_decoded:
+            slots_since_progress = 0
+            if silencing:
+                # One ACK at a time, not ``newly · ack_s``: the float sum
+                # that seeded fixed-channel sessions pin.
+                for _ in range(progress.newly_decoded):
+                    ack_overhead += ack_s
+                acked |= decoder.decoded_mask
+                # A tag falls silent when its own temporary id is echoed.
+                silenced[matched] = acked[mapping[matched]]
+        else:
+            slots_since_progress += decode_every
+        if decoder.all_decoded:
+            break
+        if stall_limit is not None and slots_since_progress >= stall_limit:
+            stalled = True
+            break
+
+    # Every stop inside the loop follows a decode, so a trailing partial
+    # cadence means the slot limit ran out between decodes.
+    if decoder.slots_collected % decode_every:
+        decoder.try_decode()
+
     decoded = np.zeros(k, dtype=bool)
     estimates = np.zeros((k, n_positions), dtype=np.uint8)
-    matched = mapping >= 0
-    decoded[matched] = view_decoded[mapping[matched]]
-    estimates[matched] = view_messages[mapping[matched]]
-    return decoded, estimates
+    decoded[matched] = decoder.decoded_mask[mapping[matched]]
+    estimates[matched] = decoder.messages()[mapping[matched]]
+    return RatelessRunResult(
+        decoded_mask=decoded,
+        messages=estimates,
+        slots_used=decoder.slots_collected,
+        duration_s=(
+            decoder.slots_collected * n_positions * symbol_s
+            + timing.query_duration_s()
+            + ack_overhead
+        ),
+        transmissions=transmissions,
+        progress=decoder.progress,
+        bit_errors=int(np.count_nonzero(estimates != messages)),
+        ack_overhead_s=ack_overhead,
+        in_view=matched,
+        stalled=stalled,
+    )
 
 
 def run_rateless_uplink(
@@ -721,121 +926,12 @@ def run_rateless_uplink(
     phantom decoder columns that simply never verify — exactly the failure
     surface an imperfect identification leaves behind.
     """
-    k = len(tags)
-    if k == 0:
-        raise ValueError("need at least one tag")
-    messages = np.stack([t.message for t in tags])
-    n_positions = messages.shape[1]
-    channels = np.array([t.channel for t in tags], dtype=complex)
-
-    # Batched tag-side transmit draws: each tag's coin for a block of slots
-    # is drawn in one vectorized pass — the same pure function of
-    # ``(temp_id, slot)`` that ``BackscatterTag.data_transmits`` evaluates
-    # (which also requires a temporary id, hence the same precondition).
-    # Tags that deviate from their deterministic schedule (silencing,
-    # failure injection) are modelled by the driver, not here — see
-    # :mod:`repro.core.silencing` and the integration tests.
-    for t in tags:
-        if t.temp_id is None:
-            raise RuntimeError("tag has no temporary id yet")
-    tag_seeds = [t.temp_id for t in tags]
-    view_seeds, h_view, mapping = _decoder_view(
-        tag_seeds, channels, channel_estimates, decoder_seeds
-    )
-    oracle_view = decoder_seeds is None
-
-    k_for_density = k_hat if k_hat is not None else len(view_seeds)
-    # The abort bound, like the density, comes from what the reader knows:
-    # the true K with the oracle view, the recovered count otherwise.
-    limit = (
-        max_slots
-        if max_slots is not None
-        else config.max_data_slots(k if oracle_view else k_for_density)
-    )
-    if len(view_seeds) == 0:
-        # The reader recovered nobody: it never opens a data phase, every
-        # message is lost, and only the trigger command costs airtime.
-        return RatelessRunResult(
-            decoded_mask=np.zeros(k, dtype=bool),
-            messages=np.zeros((k, n_positions), dtype=np.uint8),
-            slots_used=0,
-            duration_s=timing.query_duration_s(),
-            transmissions=np.zeros(k, dtype=int),
-            progress=[],
-            bit_errors=int(np.count_nonzero(messages)),
-        )
-    density = config.data_density(k_for_density)
-    block_size = min(limit, RatelessDecoder.ROW_BLOCK)
-
-    decoder = RatelessDecoder(
-        seeds=view_seeds,
-        channels=h_view,
-        n_positions=n_positions,
-        density=density,
+    return _run_data_phase(
+        tags,
+        front_end,
+        rng,
         crc=crc,
         config=config,
-        rng=np.random.default_rng(rng.integers(0, 2**63)),
-        noise_std=front_end.noise_std,
-    )
-
-    transmissions = np.zeros(k, dtype=int)
-    slot = 0
-    all_decoded = False
-    while slot < limit and not all_decoded:
-        block = range(slot, min(slot + block_size, limit))
-        tag_rows = slot_decision_matrix(tag_seeds, block, density, salt=SALT_DATA)
-        if oracle_view:
-            # Tag-side and reader-side views of D must agree bit-for-bit
-            # — an explicit check (unlike an ``assert``, it survives
-            # ``python -O``) over the whole batch at once.
-            reader_rows = decoder.expected_rows(block)
-            if not np.array_equal(tag_rows, reader_rows):
-                raise RuntimeError(
-                    "D regeneration diverged: reader-side seeds or density "
-                    "do not reproduce the tags' transmit schedule"
-                )
-            # The verified block doubles as the decoder's row cache, so
-            # add_slot below does not regenerate it a third time.
-            decoder.prime_row_cache(slot, reader_rows)
-        else:
-            # Non-oracle view: the reader's D covers the recovered ids,
-            # not the tags — the whole point is that the two schedules
-            # may disagree, so it regenerates its own block.
-            decoder.prime_row_cache(slot, decoder.expected_rows(block))
-        # One vectorized receive for the whole block replaces the per-slot
-        # (P, K) transmit-matrix build and observe call. The noise stream
-        # is consumed exactly as the per-slot calls consumed it, so seeded
-        # sessions reproduce; when decoding finishes mid-block, the
-        # generator simply stands at the block boundary instead of the
-        # stop slot (nothing downstream draws from it — the data phase is
-        # a session's last consumer of this rng).
-        block_symbols = front_end.observe_block(tag_rows, messages, channels, rng)
-        for offset in range(tag_rows.shape[0]):
-            row = tag_rows[offset]
-            transmissions += row
-            decoder.add_slot(block_symbols[offset], slot)
-            slot += 1
-            if slot % config.decode_every == 0:
-                decoder.try_decode()
-                if decoder.all_decoded:
-                    all_decoded = True
-                    break
-
-    if not decoder.all_decoded and decoder.slots_collected and (
-        decoder.slots_collected % config.decode_every != 0
-    ):
-        decoder.try_decode()
-
-    decoded, estimates = _map_view_to_tags(decoder, mapping, n_positions)
-    bit_errors = int(np.count_nonzero(estimates != messages))
-    symbol_s = 1.0 / timing.uplink_rate_bps
-    duration = decoder.slots_collected * n_positions * symbol_s + timing.query_duration_s()
-    return RatelessRunResult(
-        decoded_mask=decoded,
-        messages=estimates,
-        slots_used=decoder.slots_collected,
-        duration_s=duration,
-        transmissions=transmissions,
-        progress=decoder.progress,
-        bit_errors=bit_errors,
+        timing=timing,
+        **_fixed_field(tags, k_hat, channel_estimates, decoder_seeds, config, max_slots),
     )

@@ -61,7 +61,6 @@ from repro.engine.schemes import (
     CdmaScheme,
     RatelessScheme,
     SchemeResult,
-    SilencedScheme,
     TdmaScheme,
     UplinkScheme,
     available_schemes,
@@ -106,7 +105,6 @@ __all__ = [
     "SessionPipeline",
     "SessionStage",
     "SessionState",
-    "SilencedScheme",
     "TdmaScheme",
     "UplinkScheme",
     "StageAccount",

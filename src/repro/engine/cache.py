@@ -90,7 +90,9 @@ __all__ = ["CampaignCache", "cell_cache_key", "spec_key_material"]
 #: 2: session records carry data_transmissions/reidentifications, which
 #: the fig13 energy pricing consumes — serving format-1 session cells
 #: would silently mix two pricing models in one figure.
-_CACHE_FORMAT = 2
+#: 3: mobile-session airtime is summed like the static data phase's
+#: (``L·P·symbol_s``, ACKs one at a time), which moves stored values by ulps.
+_CACHE_FORMAT = 3
 
 _LEASE_DIR = "leases"
 _QUEUE_DIR = "queue"

@@ -28,7 +28,6 @@ __all__ = [
     "SchemeResult",
     "UplinkScheme",
     "RatelessScheme",
-    "SilencedScheme",
     "TdmaScheme",
     "CdmaScheme",
     "register_scheme",
@@ -111,17 +110,41 @@ class UplinkScheme(Protocol):
         ...
 
 
+def _summarise(name: str, run, n_tags: int, slots_used: int) -> SchemeResult:
+    """The unified record of one single-phase transfer ``run``."""
+    return SchemeResult(
+        scheme=name,
+        duration_s=run.duration_s,
+        message_loss=run.message_loss,
+        n_tags=n_tags,
+        bits_per_symbol=run.bits_per_symbol(),
+        slots_used=slots_used,
+        transmissions=run.transmissions.copy(),
+        bit_errors=run.bit_errors,
+    )
+
+
 class RatelessScheme:
     """Buzz's data phase: the distributed rateless collision code (§6).
 
     Draws fresh temporary ids from ``rng`` before the transfer (the
-    campaign's per-run randomised schedule), then runs
-    :func:`repro.core.rateless.run_rateless_uplink` with genie channel
-    knowledge — matching the paper's §9 setup where identification is
-    evaluated separately.
+    campaign's per-run randomised schedule), then runs the data phase with
+    genie channel knowledge — matching the paper's §9 setup where
+    identification is evaluated separately.
+
+    ``silencing`` selects the §8.2 design alternative
+    (:func:`repro.core.silencing.run_rateless_with_silencing`): after each
+    decode round the reader ACKs every newly verified tag (echoing its
+    temporary id at downlink rate) and ACKed tags drop out of later slots.
+    The ACK airtime is folded into ``duration_s``, so campaign comparisons
+    price the paper's trade-off — silencing saves per-tag transmissions
+    (energy) but the downlink overhead erodes the transfer-time win.
+    Registered as ``buzz`` (off) and ``silenced`` (on).
     """
 
-    name = "buzz"
+    def __init__(self, name: str = "buzz", silencing: bool = False):
+        self.name = name
+        self.silencing = silencing
 
     def run(
         self,
@@ -135,10 +158,9 @@ class RatelessScheme:
         id_space = 10 * n * n
         for tag in population.tags:
             tag.draw_temp_id(id_space, rng)
-        run = run_rateless_uplink(
-            population.tags, front_end, rng, config=config, max_slots=max_slots
+        return self.run_session_data(
+            population, front_end, rng, config, max_slots, id_space=id_space
         )
-        return self._summarise(run, n)
 
     def run_session_data(
         self,
@@ -153,116 +175,29 @@ class RatelessScheme:
         k_hat: Optional[int] = None,
         id_space: Optional[int] = None,
     ) -> SchemeResult:
-        """Data phase driven by a completed identification stage.
+        """Data phase on the tags' current temporary ids; draws nothing.
 
-        Unlike :meth:`run`, nothing is drawn here: the tags keep the
-        temporary ids identification assigned them, and the decoder runs
-        on the *recovered* ids and *estimated* channels — the session
-        pipeline's non-oracle view.
+        Driven by a completed identification stage, the decoder runs on the
+        *recovered* ids (``decoder_seeds``) and *estimated* channels — the
+        session pipeline's non-oracle view; without them it runs on the
+        oracle view. With silencing, the ACK length is priced off
+        ``id_space``, the identification id space (the ids the reader
+        actually echoes).
         """
-        run = run_rateless_uplink(
-            population.tags,
-            front_end,
-            rng,
+        view = dict(
             k_hat=k_hat,
             channel_estimates=channel_estimates,
             config=config,
             max_slots=max_slots,
             decoder_seeds=decoder_seeds,
         )
-        return self._summarise(run, len(population))
-
-    def _summarise(self, run, n: int) -> SchemeResult:
-        return SchemeResult(
-            scheme=self.name,
-            duration_s=run.duration_s,
-            message_loss=run.message_loss,
-            n_tags=n,
-            bits_per_symbol=run.bits_per_symbol(),
-            slots_used=run.slots_used,
-            transmissions=run.transmissions.copy(),
-            bit_errors=run.bit_errors,
-        )
-
-
-class SilencedScheme:
-    """The §8.2 design alternative: rateless code with ACK silencing.
-
-    Same data phase as :class:`RatelessScheme`, but after each decode round
-    the reader ACKs every newly verified tag (echoing its temporary id at
-    downlink rate) and ACKed tags drop out of later slots. The ACK airtime
-    is folded into ``duration_s``, so campaign comparisons price the
-    paper's trade-off — silencing saves per-tag transmissions (energy) but
-    the downlink overhead erodes the transfer-time win.
-    """
-
-    name = "silenced"
-
-    def run(
-        self,
-        population: TagPopulation,
-        front_end: ReaderFrontEnd,
-        rng: np.random.Generator,
-        config: BuzzConfig,
-        max_slots: Optional[int] = None,
-    ) -> SchemeResult:
-        n = len(population)
-        id_space = 10 * n * n
-        for tag in population.tags:
-            tag.draw_temp_id(id_space, rng)
-        run = run_rateless_with_silencing(
-            population.tags,
-            front_end,
-            rng,
-            config=config,
-            max_slots=max_slots,
-            id_space=id_space,
-        )
-        return self._summarise(run, n)
-
-    def run_session_data(
-        self,
-        population: TagPopulation,
-        front_end: ReaderFrontEnd,
-        rng: np.random.Generator,
-        config: BuzzConfig,
-        max_slots: Optional[int] = None,
-        *,
-        decoder_seeds: Optional[Sequence[int]] = None,
-        channel_estimates: Optional[Sequence[complex]] = None,
-        k_hat: Optional[int] = None,
-        id_space: Optional[int] = None,
-    ) -> SchemeResult:
-        """ACK-silenced data phase on identification's recovered view.
-
-        The ACK length is priced off the *identification* id space (the
-        ids the reader actually echoes), and the decoder/ACK loop runs
-        over the recovered ids with their estimated channels.
-        """
-        run = run_rateless_with_silencing(
-            population.tags,
-            front_end,
-            rng,
-            k_hat=k_hat,
-            config=config,
-            max_slots=max_slots,
-            id_space=id_space,
-            channel_estimates=channel_estimates,
-            decoder_seeds=decoder_seeds,
-        )
-        return self._summarise(run, len(population))
-
-    def _summarise(self, run, n: int) -> SchemeResult:
-        return SchemeResult(
-            scheme=self.name,
-            duration_s=run.duration_s,
-            message_loss=run.message_loss,
-            n_tags=n,
-            bits_per_symbol=run.bits_per_symbol(),
-            slots_used=run.slots_used,
-            transmissions=run.transmissions.copy(),
-            bit_errors=run.bit_errors,
-        )
+        if self.silencing:
+            run = run_rateless_with_silencing(
+                population.tags, front_end, rng, id_space=id_space, **view
+            )
+        else:
+            run = run_rateless_uplink(population.tags, front_end, rng, **view)
+        return _summarise(self.name, run, len(population), run.slots_used)
 
 
 class TdmaScheme:
@@ -279,16 +214,7 @@ class TdmaScheme:
         max_slots: Optional[int] = None,
     ) -> SchemeResult:
         run = run_tdma_uplink(population.tags, front_end, rng)
-        return SchemeResult(
-            scheme=self.name,
-            duration_s=run.duration_s,
-            message_loss=run.message_loss,
-            n_tags=len(population),
-            bits_per_symbol=run.bits_per_symbol(),
-            slots_used=len(population),
-            transmissions=run.transmissions.copy(),
-            bit_errors=run.bit_errors,
-        )
+        return _summarise(self.name, run, len(population), len(population))
 
 
 class CdmaScheme:
@@ -305,16 +231,7 @@ class CdmaScheme:
         max_slots: Optional[int] = None,
     ) -> SchemeResult:
         run = run_cdma_uplink(population.tags, front_end, rng)
-        return SchemeResult(
-            scheme=self.name,
-            duration_s=run.duration_s,
-            message_loss=run.message_loss,
-            n_tags=len(population),
-            bits_per_symbol=run.bits_per_symbol(),
-            slots_used=run.spreading_factor,
-            transmissions=run.transmissions.copy(),
-            bit_errors=run.bit_errors,
-        )
+        return _summarise(self.name, run, len(population), run.spreading_factor)
 
 
 _REGISTRY: Dict[str, UplinkScheme] = {}
@@ -354,4 +271,4 @@ def available_schemes() -> Tuple[str, ...]:
 register_scheme(RatelessScheme())
 register_scheme(TdmaScheme())
 register_scheme(CdmaScheme())
-register_scheme(SilencedScheme())
+register_scheme(RatelessScheme("silenced", silencing=True))

@@ -70,10 +70,6 @@ __all__ = [
     "AdaptiveSessionPipeline",
 ]
 
-#: Data schemes the mobility-aware session path knows how to drive
-#: slot-by-slot against a drifting field (the rateless family).
-MOBILE_DATA_SCHEMES = ("buzz", "silenced")
-
 #: Identification protocols :class:`IdentificationStage` knows how to run.
 IDENTIFICATION_METHODS = ("buzz", "fsa", "fsa-khat", "btree")
 
@@ -416,22 +412,26 @@ class SessionPipeline:
 
     # ---- the mobility-aware session path -------------------------------------
     def _mobile_stages(self):
-        """``(identification, data)`` when this pipeline can run mobile.
+        """``(identification, silencing)`` when this pipeline can run mobile.
 
         The mobile path needs channel-estimating identification (Buzz is
         the only method that produces estimates to go stale) driving a
-        rateless-family data phase it can interleave with the trajectory.
-        Anything else — e.g. the Gen-2 FSA → TDMA session — falls back to
-        the static path, which evaluates the deployment frozen at ``t=0``.
+        rateless-family data phase — a scheme that carries a ``silencing``
+        reader policy — it can interleave with the trajectory. Anything
+        else — e.g. the Gen-2 FSA → TDMA session — falls back to the static
+        path, which evaluates the deployment frozen at ``t=0``.
         """
         if len(self.stages) != 2:
             return None
         ident, data = self.stages
         if not isinstance(ident, IdentificationStage) or ident.method != "buzz":
             return None
-        if not isinstance(data, DataStage) or data.scheme not in MOBILE_DATA_SCHEMES:
+        if not isinstance(data, DataStage):
             return None
-        return ident, data
+        silencing = getattr(get_scheme(data.scheme), "silencing", None)
+        if silencing is None:
+            return None
+        return ident, silencing
 
     def _make_trajectory(
         self, population: TagPopulation, rng: np.random.Generator
@@ -457,7 +457,7 @@ class SessionPipeline:
         config: BuzzConfig,
         max_slots: Optional[int],
         ident_stage: "IdentificationStage",
-        data_stage: "DataStage",
+        silencing: bool,
     ) -> SchemeResult:
         """One session against a drifting, churning field.
 
@@ -481,7 +481,6 @@ class SessionPipeline:
         tags = population.tags
         k = len(population)
         messages = population.messages
-        silencing = data_stage.scheme == "silenced"
         trajectory = self._make_trajectory(population, rng)
         # Identification stages read each tag's channel, so the loop below
         # writes trajectory snapshots into the tag objects; restore the
@@ -584,9 +583,9 @@ class SessionPipeline:
                 # Refresh message estimates for every tag this view served,
                 # except rows already delivered earlier and not re-verified now
                 # (a later stale estimate must not clobber a verified message).
-                refresh = segment.in_view & (segment.verified | ~delivered)
+                refresh = segment.in_view & (segment.decoded_mask | ~delivered)
                 final_messages[refresh] = segment.messages[refresh]
-                delivered |= segment.verified
+                delivered |= segment.decoded_mask
 
                 if bool(delivered.all()) or not segment.stalled or budget <= 0:
                     break

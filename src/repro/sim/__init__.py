@@ -19,6 +19,12 @@ sessions free-run against each other. This package provides:
   caching and every executor backend work unchanged.
 """
 
+# The engine registers the ``multi-reader`` family by importing
+# :mod:`repro.sim.scheme`, which itself imports :mod:`repro.engine.schemes`.
+# Importing the engine first runs that chain in one order whichever package
+# a caller imports first; otherwise ``import repro.sim`` would re-enter a
+# half-initialised ``repro.sim.scheme``.
+import repro.engine  # noqa: F401
 from repro.sim.interference import resolve_slot
 from repro.sim.multireader import MultiReaderOutcome, simulate_multi_reader
 from repro.sim.scheduler import EventScheduler

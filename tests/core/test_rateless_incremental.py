@@ -378,13 +378,12 @@ class TestRowMutationSafety:
         assert np.array_equal(dec.messages(), ctl.messages())
 
     def test_mutating_primed_cache_block_after_add_slot_is_harmless(self):
-        """_regenerated_row returns a view into the primed block; add_slot
-        must have copied it into the append-only buffer already."""
+        """_regenerated_row returns a view into the block it regenerated
+        and cached; add_slot must have copied it into the append-only
+        buffer already."""
         pop = _population(4, 12)
         dec = self._decoder(pop)
-        rows = dec.expected_rows(range(4)).copy()
-        dec.prime_row_cache(0, rows)
-        served = dec._regenerated_row(0)
+        served = dec._regenerated_row(0)  # primes the cache block
         expected = served.copy()
         symbols = np.ones(pop.messages.shape[1], dtype=complex)
         dec.add_slot(symbols, 0)

@@ -8,7 +8,6 @@ from repro.engine.schemes import (
     CdmaScheme,
     RatelessScheme,
     SchemeResult,
-    SilencedScheme,
     TdmaScheme,
     UplinkScheme,
     available_schemes,
@@ -112,7 +111,7 @@ class TestSchemeAdapters:
         """On the same location and run stream, the silenced variant's
         duration must exceed pure airtime: the ACKs are priced in."""
         population, front_end = _location(n_tags=6, seed=4)
-        result = SilencedScheme().run(
+        result = RatelessScheme("silenced", silencing=True).run(
             population, front_end, np.random.default_rng(9), config=BuzzConfig()
         )
         p_bits = population.messages.shape[1]
@@ -129,14 +128,14 @@ class TestSchemeAdapters:
         buzz = RatelessScheme().run(
             pop_a, fe_a, np.random.default_rng(11), config=BuzzConfig()
         )
-        silenced = SilencedScheme().run(
+        silenced = RatelessScheme("silenced", silencing=True).run(
             pop_b, fe_b, np.random.default_rng(11), config=BuzzConfig()
         )
         assert silenced.transmissions.sum() <= buzz.transmissions.sum()
 
     def test_silenced_respects_max_slots(self):
         population, front_end = _location()
-        result = SilencedScheme().run(
+        result = RatelessScheme("silenced", silencing=True).run(
             population,
             front_end,
             np.random.default_rng(1),
